@@ -63,10 +63,12 @@ lint:
 lint-bench:
 	$(GO) test -run '^$$' -bench 'Benchmark(Lint|CheckAnalyze)(Serial|Parallel)' -benchtime 3x ./internal/lint | tee LINTBENCH_$$(date +%Y%m%d_%H%M%S).txt
 
-# Short native-fuzz pass over the two untrusted-input parsers. CI runs
-# the same smoke lane; longer local sessions just raise -fuzztime.
+# Short native-fuzz pass over the untrusted-input parsers, plus the
+# Normalize idempotence the corpus context scans rely on. CI runs the
+# same smoke lane; longer local sessions just raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzTokenize' -fuzztime 10s ./internal/textutil
+	$(GO) test -fuzz 'FuzzNormalizeIdempotent' -fuzztime 10s ./internal/textutil
 	$(GO) test -fuzz 'FuzzReadJSONL' -fuzztime 10s ./internal/corpus
 	$(GO) test -fuzz 'FuzzWALReplay' -fuzztime 10s ./internal/storage
 

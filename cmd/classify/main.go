@@ -55,7 +55,7 @@ func main() {
 	flag.StringVar(&o.outPath, "out", "", "write JSONL results here (default stdout)")
 	flag.IntVar(&o.top, "top", 5, "concepts to report per document")
 	flag.IntVar(&o.window, "window", 0, "context window for concept profiles (0 = default 8)")
-	flag.IntVar(&o.workers, "workers", 0, "worker pool for scoring (0 = sequential; results identical at any value)")
+	flag.IntVar(&o.workers, "workers", 0, "worker pool for the concept-profile build (0 = sequential; results identical at any value)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

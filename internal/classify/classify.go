@@ -7,17 +7,27 @@
 // the same context-vector machinery step IV's semantic linkage uses.
 //
 // Building the per-concept profiles is O(corpus) — one context scan
-// per ontology term — so the Classifier caches them per (key, epoch):
-// the first classification after a snapshot publish rebuilds the
-// profile index, every later one is O(document): tokenize, one dot
-// product per concept against cached unit vectors. The cache is
-// keyed by the registry entry name and invalidated by epoch
-// comparison, riding the snapshot design: an index is immutable once
-// built, readers grab it with one atomic load.
+// per ontology term — so the Classifier caches a scoring index per
+// key (the registry entry name), tagged with the snapshot epoch it was
+// built from. The index keeps each profile's norm, computed once at
+// build, and an inverted index term → [(concept, weight)] in place of
+// the profiles. A cached classification is O(document postings):
+// tokenize, walk the postings of the document's terms, and finish one
+// cosine per concept the document shares a term with. Every other
+// concept has dot product 0, so it is never touched.
 //
-// Classification is deterministic byte-for-byte across worker counts:
-// per-concept scores are pure functions of (document, snapshot) and
-// workers write into pre-sized slots, so no reduction order leaks in.
+// Builds are single-flight per key: concurrent misses on one key build
+// once, while a rebuild on one key never blocks another. The cache is
+// epoch-monotone: an index replaces the cached one only if it is
+// newer, so a request holding an older snapshot scores against its own
+// build without evicting the newer index. An index is immutable once
+// built; readers grab it with one atomic load.
+//
+// Classification is deterministic byte-for-byte across worker counts
+// (workers only parallelize the build, writing pre-sized slots). Each
+// score equals the document vector's sparse.Vector.Cosine against the
+// concept profile bit for bit: the same products, summed in the same
+// ascending order, divided by the same norms.
 package classify
 
 import (
@@ -57,9 +67,8 @@ type Options struct {
 	// Window is the context window used to build per-concept profile
 	// vectors (default 8 — the linkage step's ContextWindow).
 	Window int
-	// Workers bounds the goroutines used for profile builds and
-	// per-concept scoring. 0 or 1 is sequential; results are
-	// byte-identical at any value.
+	// Workers bounds the goroutines used for profile builds. 0 or 1
+	// is sequential; results are byte-identical at any value.
 	Workers int
 	// Obs, when non-nil, receives the concept-cache hit/miss counters.
 	// nil disables them at zero cost.
@@ -100,27 +109,45 @@ type Result struct {
 	Concepts []ConceptScore `json:"concepts"`
 }
 
-// index is the immutable per-epoch concept-profile index: ids sorted,
-// vecs unit-normalized, parallel slices.
+// index is the immutable per-epoch scoring index. ids are sorted and
+// ids, prefs and norms are parallel slices, indexed by concept slot.
+// The profiles themselves are not kept: postings holds every
+// profile weight, inverted by term.
 type index struct {
 	epoch uint64
 	ids   []ontology.ConceptID
 	prefs []string
-	vecs  []sparse.Vector
+	// norms[i] is profile i's Norm() after Normalize, the value Cosine
+	// would recompute on every call.
+	norms []float64
+	// postings maps each term to the concepts whose profile holds it,
+	// in ascending slot order.
+	postings map[string][]posting
+}
+
+// posting is one concept's weight for one term in the concept's
+// unit-normalized profile.
+type posting struct {
+	slot   int32
+	weight float64
+}
+
+// cache is one key's slot: the newest index built for the key, and
+// the lock that makes the key's builds single-flight.
+type cache struct {
+	buildMu sync.Mutex
+	cur     atomic.Pointer[index]
 }
 
 // Classifier classifies documents against snapshot-backed ontologies,
-// caching one profile index per (key, epoch). Safe for concurrent
-// use: index pointers swap atomically, builds serialize on a mutex so
-// concurrent first-classifications after a publish build once.
+// caching one profile index per key. Safe for concurrent use: index
+// pointers swap atomically, and builds serialize per key, so
+// concurrent first classifications after a publish build once while
+// other keys build and serve undisturbed.
 type Classifier struct {
 	opts Options
-	// buildMu serializes index builds only; classification never takes
-	// it once the index for the current epoch exists.
-	buildMu sync.Mutex
-	// caches maps key → *atomic.Pointer[index]. Entries are created on
-	// first use and never removed (registry entries are never removed
-	// either).
+	// caches maps key → *cache. Entries are created on first use and
+	// never removed (registry entries are never removed either).
 	caches sync.Map
 
 	hits, misses *obs.Counter
@@ -156,23 +183,7 @@ func (cl *Classifier) Classify(ctx context.Context, key string, snap *state.Snap
 	if err != nil {
 		return nil, err
 	}
-
-	// Score every concept. Each slot is a pure function of (docVec,
-	// idx) — workers partition the index and write their own slots, so
-	// any worker count produces identical floats.
-	scores := make([]float64, len(idx.ids))
-	if err := cl.parallel(ctx, len(idx.ids), func(i int) {
-		scores[i] = docVec.Cosine(idx.vecs[i])
-	}); err != nil {
-		return nil, fmt.Errorf("classify: %w", err)
-	}
-
-	out := make([]ConceptScore, 0, len(idx.ids))
-	for i, s := range scores {
-		if s > 0 {
-			out = append(out, ConceptScore{ID: idx.ids[i], Preferred: idx.prefs[i], Score: s})
-		}
-	}
+	out := idx.score(docVec)
 	sortScores(out)
 	if topN > 0 && topN < len(out) {
 		out = out[:topN]
@@ -185,36 +196,121 @@ func (cl *Classifier) Classify(ctx context.Context, key string, snap *state.Snap
 	}, nil
 }
 
+// score returns every concept with a positive cosine against doc, in
+// slot order. Only the postings of doc's terms are walked: a concept
+// sharing no term with doc has dot product 0 and is never touched.
+// Each score equals doc.Cosine(profile) bit for bit — the same
+// products, summed in the same order, divided by the same norms.
+func (idx *index) score(doc sparse.Vector) []ConceptScore {
+	type run struct {
+		w  float64
+		ps []posting
+	}
+	runs := make([]run, 0, len(doc))
+	n := 0
+	for t, w := range doc {
+		if ps := idx.postings[t]; len(ps) > 0 {
+			runs = append(runs, run{w: w, ps: ps})
+			n += len(ps)
+		}
+	}
+	// Counting sort of the products w_doc·w_profile by slot: after the
+	// fill, slot i's products are prods[at[i]:at[i+1]].
+	at := make([]int, len(idx.ids)+1)
+	for _, r := range runs {
+		for _, p := range r.ps {
+			at[p.slot]++
+		}
+	}
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	prods := make([]float64, n)
+	for _, r := range runs {
+		for _, p := range r.ps {
+			at[p.slot]--
+			prods[at[p.slot]] = r.w * p.weight
+		}
+	}
+	nv := doc.Norm()
+	out := make([]ConceptScore, 0, 16)
+	for i := range idx.ids {
+		lo, hi := at[i], at[i+1]
+		if lo == hi {
+			continue
+		}
+		if s := cosine(prods[lo:hi], nv, idx.norms[i]); s > 0 {
+			out = append(out, ConceptScore{ID: idx.ids[i], Preferred: idx.prefs[i], Score: s})
+		}
+	}
+	return out
+}
+
+// cosine finishes sparse.Vector.Cosine for one pair of vectors from
+// their shared-feature products and their norms, with Cosine's exact
+// arithmetic: the products summed in ascending order (sparse's
+// detSum), divided by nv·no, clamped to [-1, 1]. prods is sorted in
+// place.
+func cosine(prods []float64, nv, no float64) float64 {
+	if nv == 0 || no == 0 {
+		return 0
+	}
+	sort.Float64s(prods)
+	var dot float64
+	for _, x := range prods {
+		dot += x
+	}
+	c := dot / (nv * no)
+	if c > 1 {
+		c = 1
+	} else if c < -1 {
+		c = -1
+	}
+	return c
+}
+
 // index returns the profile index for (key, snap.Epoch), building it
-// on first use after a publish. Concurrent callers build at most once.
+// on first use after a publish. Concurrent callers on one key build at
+// most once; builds on other keys proceed in parallel. The cache is
+// epoch-monotone: a request holding a snapshot older than the cached
+// index scores against its own build, which is never installed.
 func (cl *Classifier) index(ctx context.Context, key string, snap *state.Snapshot) (*index, error) {
-	slotAny, _ := cl.caches.LoadOrStore(key, &atomic.Pointer[index]{})
-	slot := slotAny.(*atomic.Pointer[index])
-	if idx := slot.Load(); idx != nil && idx.epoch == snap.Epoch {
+	slotAny, ok := cl.caches.Load(key)
+	if !ok {
+		slotAny, _ = cl.caches.LoadOrStore(key, &cache{})
+	}
+	slot := slotAny.(*cache)
+	if idx := slot.cur.Load(); idx != nil && idx.epoch == snap.Epoch {
 		cl.hits.Inc()
 		return idx, nil
 	}
-	cl.buildMu.Lock()
-	defer cl.buildMu.Unlock()
-	if idx := slot.Load(); idx != nil && idx.epoch == snap.Epoch {
-		// Built by whoever held the mutex first; that build already
+	slot.buildMu.Lock()
+	defer slot.buildMu.Unlock()
+	cur := slot.cur.Load()
+	if cur != nil && cur.epoch == snap.Epoch {
+		// Built by whoever held the lock first; that build already
 		// counted the miss.
 		cl.hits.Inc()
-		return idx, nil
+		return cur, nil
 	}
 	cl.misses.Inc()
 	idx, err := cl.build(ctx, snap)
 	if err != nil {
 		return nil, err
 	}
-	slot.Store(idx)
+	// Only builds store, and they hold buildMu, so cur is still the
+	// cached index.
+	if cur == nil || cur.epoch < idx.epoch {
+		slot.cur.Store(idx)
+	}
 	return idx, nil
 }
 
-// build computes the per-concept profile vectors: for each concept
-// (in sorted id order), the sum of the corpus context vectors of its
-// terms, unit-normalized. Concepts absent from the corpus keep an
-// empty vector and score 0 against everything.
+// build computes the per-concept profiles — for each concept, in
+// sorted id order, the sum of the corpus context vectors of its terms,
+// unit-normalized — and keeps their norms and term postings. Concepts
+// absent from the corpus have an empty profile, no postings, and score
+// 0 against everything.
 func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, error) {
 	o, c := snap.Ontology, snap.Corpus
 	ids := o.ConceptIDs()
@@ -222,21 +318,68 @@ func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, 
 		epoch: snap.Epoch,
 		ids:   ids,
 		prefs: make([]string, len(ids)),
-		vecs:  make([]sparse.Vector, len(ids)),
+		norms: make([]float64, len(ids)),
 	}
+	profiles := make([]sparse.Vector, len(ids))
 	if err := cl.parallel(ctx, len(ids), func(i int) {
 		concept := o.Concept(ids[i])
 		idx.prefs[i] = concept.Preferred
-		v := sparse.New(64)
-		for _, t := range concept.Terms() {
+		// Summing counts is exact, so accumulating into the first
+		// term's fresh vector gives the same profile as a new one.
+		terms := concept.Terms()
+		v := c.ContextVector(terms[0], cl.opts.Window)
+		for _, t := range terms[1:] {
 			v.Add(c.ContextVector(t, cl.opts.Window))
 		}
 		v.Normalize()
-		idx.vecs[i] = v
+		profiles[i] = v
+		idx.norms[i] = v.Norm()
 	}); err != nil {
 		return nil, fmt.Errorf("classify: build concept profiles: %w", err)
 	}
+	idx.postings = invert(profiles, c.Vocabulary())
 	return idx, nil
+}
+
+// invert turns per-slot profiles into term postings. The runs share
+// one backing array laid out in sorted term order, and each is filled
+// in ascending slot order, so the layout does not depend on map
+// iteration order. vocab bounds the number of distinct terms.
+func invert(profiles []sparse.Vector, vocab int) map[string][]posting {
+	// runs[t] counts t's postings, then holds t's run number.
+	runs := make(map[string]int, vocab)
+	for _, v := range profiles {
+		for t := range v {
+			runs[t]++
+		}
+	}
+	terms := make([]string, 0, len(runs))
+	for t := range runs {
+		terms = append(terms, t)
+	}
+	sort.Strings(terms)
+	// next[k] is run k's fill cursor, starting at the run's offset.
+	next := make([]int, len(terms)+1)
+	for k, t := range terms {
+		next[k+1] = next[k] + runs[t]
+		runs[t] = k
+	}
+	flat := make([]posting, next[len(terms)])
+	for slot, v := range profiles {
+		for t, w := range v {
+			k := runs[t]
+			flat[next[k]] = posting{slot: int32(slot), weight: w}
+			next[k]++
+		}
+	}
+	// Each cursor now sits at its run's end, the next run's start.
+	postings := make(map[string][]posting, len(terms))
+	lo := 0
+	for k, t := range terms {
+		postings[t] = flat[lo:next[k]:next[k]]
+		lo = next[k]
+	}
+	return postings
 }
 
 // parallel runs fn(i) for i in [0, n) across opts.Workers goroutines,

@@ -6,13 +6,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/obs"
 	"bioenrich/internal/ontology"
+	"bioenrich/internal/sparse"
 	"bioenrich/internal/state"
+	"bioenrich/internal/synth"
 	"bioenrich/internal/textutil"
 )
 
@@ -242,6 +246,173 @@ func TestClassifyConcurrent(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestClassifyEpochMonotoneCache alternates two epochs on one key. The
+// older snapshot must never evict the newer cached index: every
+// newer-epoch call after its first build is a hit, and the older one
+// still gets its own epoch's answer.
+func TestClassifyEpochMonotoneCache(t *testing.T) {
+	reg := obs.New()
+	cl := New(Options{Obs: reg})
+	old := fixtureSnapshot(t)
+	store := state.NewStoreAt(old.Corpus, old.Ontology, old.Epoch)
+	if _, err := store.Update(func(cur *state.Snapshot) (*corpus.Corpus, *ontology.Ontology, error) {
+		next := cur.Corpus.Clone()
+		next.Add(corpus.Document{ID: "5", Text: "corneal scarring after injury."})
+		next.Build()
+		return next, cur.Ontology, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	newer := store.Load()
+	if newer.Epoch <= old.Epoch {
+		t.Fatalf("epochs %d, %d: want the second newer", old.Epoch, newer.Epoch)
+	}
+
+	const text = "corneal injury and scarring"
+	want := map[uint64][]byte{}
+	for i := 0; i < 10; i++ {
+		snap := old
+		if i%2 == 1 {
+			snap = newer
+		}
+		hitsBefore := reg.Counter(CacheHitsMetric).Value()
+		res, err := cl.Classify(context.TODO(), "default", snap, text, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Epoch != snap.Epoch {
+			t.Fatalf("call %d: Epoch = %d, want %d", i, res.Epoch, snap.Epoch)
+		}
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, ok := want[snap.Epoch]; ok && !bytes.Equal(got, w) {
+			t.Fatalf("call %d (epoch %d): result changed:\n  got  %s\n  want %s", i, snap.Epoch, got, w)
+		}
+		want[snap.Epoch] = got
+		if snap == newer && i > 1 && reg.Counter(CacheHitsMetric).Value() != hitsBefore+1 {
+			t.Fatalf("call %d: newer epoch missed the cache after an older-epoch request", i)
+		}
+	}
+	// 5 older-epoch builds (never installed) + 1 newer build; the other
+	// 4 newer-epoch calls hit.
+	if h, m := reg.Counter(CacheHitsMetric).Value(), reg.Counter(CacheMissesMetric).Value(); h != 4 || m != 6 {
+		t.Fatalf("hits, misses = %v, %v; want 4, 6", h, m)
+	}
+}
+
+// TestClassifyPerKeyBuilds holds one key's build open and checks that
+// another key still builds and serves, and that the held key completes
+// once released — one miss per build.
+func TestClassifyPerKeyBuilds(t *testing.T) {
+	reg := obs.New()
+	cl := New(Options{Obs: reg})
+	snap := fixtureSnapshot(t)
+
+	slotAny, _ := cl.caches.LoadOrStore("held", &cache{})
+	held := slotAny.(*cache)
+	held.buildMu.Lock() // a build in flight on "held"
+
+	heldDone := make(chan error, 1)
+	go func() {
+		_, err := cl.Classify(context.TODO(), "held", snap, "corneal injury", 0)
+		heldDone <- err
+	}()
+	otherDone := make(chan error, 1)
+	go func() {
+		_, err := cl.Classify(context.TODO(), "other", snap, "corneal injury", 0)
+		otherDone <- err
+	}()
+	select {
+	case err := <-otherDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		held.buildMu.Unlock()
+		t.Fatal("a build held on one key blocked another key")
+	}
+	select {
+	case <-heldDone:
+		t.Fatal("classify on the held key finished while its build was held")
+	default:
+	}
+	held.buildMu.Unlock()
+	if err := <-heldDone; err != nil {
+		t.Fatal(err)
+	}
+	if h, m := reg.Counter(CacheHitsMetric).Value(), reg.Counter(CacheMissesMetric).Value(); h != 0 || m != 2 {
+		t.Fatalf("hits, misses = %v, %v; want 0, 2", h, m)
+	}
+}
+
+// TestClassifyScoresMatchProfileCosine rebuilds every concept profile
+// the direct way — the summed corpus context vectors of its terms,
+// normalized — and checks that each returned score is bit for bit the
+// document vector's Cosine against that profile, and that every
+// concept left out scores exactly 0.
+func TestClassifyScoresMatchProfileCosine(t *testing.T) {
+	mopts := synth.DefaultMeshOptions()
+	mopts.Depth = 2
+	copts := synth.DefaultCorpusOptions()
+	copts.DocsPerConcept = 2
+	mesh := synth.GenerateMesh(mopts)
+	c := synth.GenerateMeshCorpus(mesh, copts)
+	o := mesh.Ontology
+	snap := state.NewStore(c, o).Load()
+
+	const window = 8
+	profiles := map[ontology.ConceptID]sparse.Vector{}
+	for _, id := range o.ConceptIDs() {
+		v := sparse.New(64)
+		for _, term := range o.Concept(id).Terms() {
+			v.Add(c.ContextVector(term, window))
+		}
+		v.Normalize()
+		profiles[id] = v
+	}
+
+	docs := c.Documents()
+	texts := []string{
+		docs[0].Text,
+		docs[len(docs)/2].Text,
+		docs[len(docs)-1].Title + " " + docs[len(docs)-1].Text,
+		docs[1].Text + " " + docs[2].Text,
+	}
+	for _, workers := range []int{1, 4} {
+		cl := New(Options{Window: window, Workers: workers})
+		for ti, text := range texts {
+			res, err := cl.Classify(context.TODO(), "k", snap, text, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docVec := sparse.FromCounts(textutil.ContentWords(text, c.Lang()))
+			got := map[ontology.ConceptID]float64{}
+			for _, cs := range res.Concepts {
+				got[cs.ID] = cs.Score
+			}
+			if len(got) < 2 {
+				t.Fatalf("workers=%d text %d: only %d concepts scored", workers, ti, len(got))
+			}
+			for id, profile := range profiles {
+				want := docVec.Cosine(profile)
+				s, ok := got[id]
+				if !ok {
+					if want != 0 {
+						t.Fatalf("workers=%d text %d: %s left out, Cosine = %v", workers, ti, id, want)
+					}
+					continue
+				}
+				if math.Float64bits(s) != math.Float64bits(want) {
+					t.Fatalf("workers=%d text %d: %s score %v (%#x), Cosine %v (%#x)",
+						workers, ti, id, s, math.Float64bits(s), want, math.Float64bits(want))
+				}
+			}
 		}
 	}
 }

@@ -19,6 +19,8 @@ type Context struct {
 // Contexts returns the content-word windows (window tokens on each
 // side) around every occurrence of term. The term's own words are
 // excluded from the window; stopwords and numerics are filtered.
+// Stored tokens are already normalized, so the stopword test is a
+// plain set lookup with no per-token Normalize.
 func (c *Corpus) Contexts(term string, window int) []Context {
 	c.ensureBuilt()
 	words := strings.Fields(textutil.NormalizeTerm(term))
@@ -45,7 +47,7 @@ func (c *Corpus) Contexts(term string, window int) []Context {
 			}
 			w := toks[i]
 			if len(w) < 2 || termSet[w] ||
-				textutil.IsNumeric(w) || textutil.IsStopword(w, c.lang) {
+				textutil.IsNumeric(w) || textutil.IsNormalizedStopword(w, c.lang) {
 				continue
 			}
 			ctx = append(ctx, w)
@@ -158,7 +160,7 @@ func (c *Corpus) contentPositions(d int32) []posWord {
 	toks := c.tokens[d]
 	out := make([]posWord, 0, len(toks))
 	for i, w := range toks {
-		if len(w) < 2 || textutil.IsNumeric(w) || textutil.IsStopword(w, c.lang) {
+		if len(w) < 2 || textutil.IsNumeric(w) || textutil.IsNormalizedStopword(w, c.lang) {
 			continue
 		}
 		out = append(out, posWord{pos: int32(i), word: w})

@@ -36,7 +36,7 @@ type Corpus struct {
 	docs  []Document
 	built bool
 
-	tokens [][]string           // normalized token stream per document
+	tokens [][]string           // token stream per document, each token in textutil.Normalize form
 	index  map[string][]Posting // unigram positional index
 	df     map[string]int       // document frequency per unigram
 	total  int                  // total token count

@@ -66,3 +66,29 @@ func FuzzNormalizeStem(f *testing.F) {
 		}
 	})
 }
+
+// FuzzNormalizeIdempotent pins the assumption behind stored corpus
+// tokens: each is Normalize(w) for a w from Words, and the corpus
+// context scans look those tokens up with IsNormalizedStopword, which
+// skips the second Normalize pass IsStopword would make.
+func FuzzNormalizeIdempotent(f *testing.F) {
+	for _, seed := range []string{
+		"Kératite cornéenne ÉTUDE", "œdème Æther ﬁbrose", "Straße STRASSE ẞ",
+		"İstanbul ıi", "ǅemal ǈubljana ǋ", "Ñandú ÇA Ü", "", "x-linked Δ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for _, w := range Words(s) {
+			n := Normalize(w)
+			if nn := Normalize(n); nn != n {
+				t.Fatalf("Normalize not idempotent on %q: %q -> %q", w, n, nn)
+			}
+			for _, lang := range []Lang{English, French, Spanish} {
+				if IsStopword(n, lang) != IsNormalizedStopword(n, lang) {
+					t.Fatalf("IsStopword and IsNormalizedStopword disagree on %q (%v)", n, lang)
+				}
+			}
+		}
+	})
+}

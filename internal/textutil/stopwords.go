@@ -114,6 +114,15 @@ func IsStopword(w string, lang Lang) bool {
 	return stopSets[lang][Normalize(w)]
 }
 
+// IsNormalizedStopword reports whether w, already in Normalize form,
+// is a stopword in lang. It skips the lowercase and accent-fold pass
+// IsStopword pays, so it is the lookup for stored corpus tokens; for
+// such a token it answers exactly as IsStopword does, because
+// Normalize is idempotent on every word Words yields.
+func IsNormalizedStopword(w string, lang Lang) bool {
+	return stopSets[lang][w]
+}
+
 // Stopwords returns a copy of the stopword set for lang.
 func Stopwords(lang Lang) map[string]bool {
 	src := stopSets[lang]
